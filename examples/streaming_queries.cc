@@ -2,9 +2,10 @@
 // submit single shortest-path queries and get futures back, while the
 // QueryService coalesces the concurrent arrivals into micro-batches that
 // run on the batch executor — so the clients transparently share subquery
-// work and cached plans. A second round swaps the backend for a
-// message-passing SiteNetwork without touching the client code: the
-// backend seam in action.
+// work and cached plans. A second round runs phase 1 on a message-passing
+// SiteNetwork instead of the database's pool, without touching the client
+// code: planning and assembly stay with the same batch executor, and only
+// the fan-out crosses the site fabric.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -88,15 +89,20 @@ int main() {
     PrintStats("database backend", service.Stats());
   }
 
-  // Round 2: identical clients, message-passing backend.
+  // Round 2: identical clients, phase 1 over the message-passing sites.
   {
-    SiteNetwork net(&frag);
-    SiteNetworkBackend backend(&net);
-    QueryService service(&backend, opts);
+    DsaDatabase db(&frag);
+    SiteNetwork net(&db);
+    QueryService service(&db, opts, &net);
     std::printf("streaming against the message-passing site network:\n");
     RunClients(&service, frag, 4, 250);
     service.Shutdown();
-    PrintStats("site-network backend", service.Stats());
+    const SiteTraffic traffic = net.traffic();
+    std::printf("  site messages: %zu subqueries, %zu results, %zu carried "
+                "by the fabric (no site-to-site traffic)\n",
+                traffic.subquery_messages, traffic.result_messages,
+                traffic.fabric_messages);
+    PrintStats("site-network phase 1", service.Stats());
   }
   return 0;
 }

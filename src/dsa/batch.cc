@@ -2,12 +2,16 @@
 
 #include <utility>
 
+#include "dsa/sites.h"
 #include "util/timer.h"
 
 namespace tcf {
 
-BatchExecutor::BatchExecutor(const DsaDatabase* db) : db_(db) {
+BatchExecutor::BatchExecutor(const DsaDatabase* db, SiteNetwork* sites)
+    : db_(db), sites_(sites) {
   TCF_CHECK(db != nullptr);
+  TCF_CHECK_MSG(sites == nullptr || &sites->database() == db,
+                "site network serves a different database");
 }
 
 BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
@@ -23,8 +27,7 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
   WallTimer batch_timer;
 
   // Validate up front (cheap next to planning), then plan the whole batch
-  // through the shared parallel planner — the same sharded plan memo +
-  // spec table path the SiteNetwork coordinator uses.
+  // through the parallel planner.
   WallTimer plan_timer;
   std::vector<std::pair<NodeId, NodeId>> endpoints;
   endpoints.reserve(queries.size());
@@ -54,12 +57,14 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
   result.stats.plan_seconds = plan_timer.ElapsedSeconds();
 
   // Phase 1, once for the whole batch: every deduplicated subquery is one
-  // task on the database's shared pool.
+  // task on the database's shared pool, or one message to its site.
   WallTimer phase1_timer;
   const ComplementaryInfo* comp =
       options.use_complementary ? &db_->complementary() : nullptr;
-  std::vector<LocalQueryResult> site_results = RunSites(
-      frag, comp, flat_specs, options.engine, pool, &result.report);
+  std::vector<LocalQueryResult> site_results =
+      sites_ != nullptr ? sites_->Exchange(flat_specs)
+                        : RunSites(frag, comp, flat_specs, options.engine,
+                                   pool, &result.report);
   result.stats.phase1_seconds = phase1_timer.ElapsedSeconds();
 
   // Assemble every query in parallel. Assembly only *reads* the shared

@@ -1,5 +1,8 @@
-// Batched query execution over a DsaDatabase. The paper's phase-1 property
-// — per-fragment subqueries are fully independent — holds across *queries*
+// The one coordinator of the disconnection set approach. Every query —
+// a lone ShortestPath (dsa/query_api.h, a batch of one), a micro-batch of
+// the admission service (dsa/service.h), a whole offline batch — runs
+// through BatchExecutor::Execute. The paper's phase-1 property —
+// per-fragment subqueries are fully independent — holds across *queries*
 // as well as across chains, so a batch of queries is executed as one big
 // fan-out:
 //
@@ -16,8 +19,11 @@
 //      source-DS, target-DS) triple share a single site computation — and
 //      interning itself no longer serializes the coordinator,
 //   3. seal the sharded table into one flat spec vector and run the
-//      deduplicated subqueries on the same pool in a single ParallelFor
-//      (no per-query pools, no per-query barriers),
+//      deduplicated subqueries once (phase 1) — either on the same pool in
+//      a single ParallelFor, or, for an executor over a SiteNetwork
+//      (dsa/sites.h), as one message exchange with the per-fragment site
+//      threads. Phase 1 is the only step that differs between the two
+//      deployments; planning and assembly are the same code,
 //   4. assemble every query's answer in parallel on the same pool (pure
 //      reads of the shared phase-1 results).
 //
@@ -27,9 +33,9 @@
 // shows solely as the ordering of BatchResult::report.sites (a multiset
 // that is itself scheduling-stable).
 //
-// BatchExecutor is stateless apart from the database reference: Execute()
-// is const, re-entrant, and may run concurrently with other batches and
-// with single DsaDatabase queries.
+// BatchExecutor is stateless apart from its database (and site network)
+// references: Execute() is const, re-entrant, and may run concurrently
+// with other batches, including single DsaDatabase queries.
 #pragma once
 
 #include <vector>
@@ -37,6 +43,8 @@
 #include "dsa/query_api.h"
 
 namespace tcf {
+
+class SiteNetwork;
 
 /// What a batched query should compute. kCost and kReachability fill
 /// RouteAnswer::answer only; kRoute additionally fills the realizing route
@@ -135,17 +143,24 @@ struct BatchResult {
 /// Executes query batches against one DsaDatabase.
 class BatchExecutor {
  public:
-  /// `db` must outlive the executor. Subqueries run on db->pool().
-  explicit BatchExecutor(const DsaDatabase* db);
+  /// `db` (and `sites`, when given) must outlive the executor. Planning
+  /// and assembly run on db->pool(). Phase 1 runs there too, or — with
+  /// `sites`, a network built over the same `db` — as one
+  /// SiteNetwork::Exchange; BatchResult::report then has no per-site
+  /// records, since compute happens behind the message fabric.
+  explicit BatchExecutor(const DsaDatabase* db, SiteNetwork* sites = nullptr);
 
   /// Runs the whole batch and returns answers in query order. Thread-safe;
-  /// concurrent Execute() calls share the database's pool and plan cache.
+  /// concurrent Execute() calls share the database's pool and plan cache
+  /// (and queue on the site network's exchange). Endpoints must be valid
+  /// node ids; route queries need complementary information.
   BatchResult Execute(const std::vector<Query>& queries) const;
 
   const DsaDatabase& database() const { return *db_; }
 
  private:
   const DsaDatabase* db_;
+  SiteNetwork* sites_;
 };
 
 }  // namespace tcf

@@ -49,10 +49,8 @@ struct PairKeyHash {
 
 using FragmentChain = std::vector<FragmentId>;
 
-/// Default cap on enumerated chains per fragment pair — the single source
-/// of truth shared by DsaOptions::max_chains and the SiteNetwork
-/// coordinator planner (which must plan with the same cap to produce the
-/// same chain sets).
+/// Default cap on enumerated chains per fragment pair
+/// (DsaOptions::max_chains).
 inline constexpr size_t kDefaultMaxChains = 64;
 
 /// All simple paths from fragment `from` to fragment `to` in the

@@ -207,9 +207,13 @@ ParallelPlanResult PlanBatchInParallel(
     size_t max_chains, ChainPlanCache* chain_cache, ThreadPool* pool) {
   ParallelPlanResult out;
   out.plans.assign(endpoints.size(), nullptr);
-  out.memo = std::make_unique<
-      ShardedTable<uint64_t, QueryPlan, PairKeyHash>>();
-  ShardedSpecTable specs;
+  const size_t shards = std::min(
+      endpoints.size(),
+      ShardedTable<uint64_t, QueryPlan, PairKeyHash>::kDefaultShards);
+  out.memo =
+      std::make_unique<ShardedTable<uint64_t, QueryPlan, PairKeyHash>>(
+          shards);
+  ShardedSpecTable specs(shards);
   std::atomic<size_t> memo_hits{0};
   std::atomic<size_t> interned_hits{0};
   std::atomic<size_t> interned_misses{0};

@@ -4,12 +4,14 @@
 // sequence of binary joins between a number of very small relations"
 // (Sec. 2.1), accounting for the communication the final phase causes.
 //
-// This header is the *re-entrant execution core* shared by the single-query
-// API (dsa/query_api.h) and the batch executor (dsa/batch.h): planning
-// (chain lookup + subquery interning), phase-1 fan-out, and per-chain
-// assembly are all free functions over immutable inputs, so any number of
-// coordinator threads may run queries against the same fragmentation and
-// complementary information concurrently.
+// This header is the *re-entrant execution core* under the one
+// coordinator, BatchExecutor (dsa/batch.h), which serves single queries
+// (dsa/query_api.h) as batches of one: planning (chain lookup + subquery
+// interning), phase-1 fan-out, and per-chain assembly are all free
+// functions over immutable inputs, so any number of coordinator threads
+// may run queries against the same fragmentation and complementary
+// information concurrently. The one-query pieces (SpecTable,
+// BuildQueryPlan) stay public for callers that time each stage alone.
 #pragma once
 
 #include <map>
@@ -104,8 +106,8 @@ class SpecSink {
 /// Interning table for keyhole subqueries: one entry per distinct
 /// (fragment, sources, targets) triple, so a fragment computes each
 /// selection once no matter how many chains need it. Not internally
-/// synchronized — each single query interns into its own table; batched
-/// queries intern concurrently into a ShardedSpecTable instead.
+/// synchronized — for one caller planning one query at a time; the batch
+/// executor interns concurrently into a ShardedSpecTable instead.
 class SpecTable : public SpecSink {
  public:
   /// Returns the index of the spec `key` denotes, inserting it if new.
@@ -215,13 +217,14 @@ struct ParallelPlanResult {
   size_t distinct_plans() const { return memo->size(); }
 };
 
-/// The shared coordinator path of BatchExecutor and SiteNetwork: plans
-/// every endpoint pair in parallel on `pool` (sequentially when null).
-/// Whole plans intern into a sharded memo by (from, to) so repeats skip
-/// planning, keyhole subqueries intern into one ShardedSpecTable
-/// batch-wide, and the table is sealed with every plan's refs rewritten
-/// to flat spec indices. Endpoints must be in range (callers validate);
-/// from == to pairs yield a null plan.
+/// The planning stage of BatchExecutor: plans every endpoint pair in
+/// parallel on `pool` (sequentially when null). Whole plans intern into a
+/// sharded memo by (from, to) so repeats skip planning, keyhole subqueries
+/// intern into one ShardedSpecTable batch-wide, and the table is sealed
+/// with every plan's refs rewritten to flat spec indices. Both tables get
+/// min(pairs, 64) shards, so a batch of one builds no idle stripes.
+/// Endpoints must be in range (callers validate); from == to pairs yield a
+/// null plan.
 ParallelPlanResult PlanBatchInParallel(
     const Fragmentation& frag,
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,

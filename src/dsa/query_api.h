@@ -10,8 +10,11 @@
 //      parallel, with the disconnection sets as keyhole selections,
 //   4. assembling the per-fragment answers with small binary joins.
 //
-// For answering *many* queries at once — sharing subqueries across queries
-// as well as across chains — see dsa/batch.h.
+// The database holds the state (fragmentation, complementary information,
+// phase-1 pool, plan caches); the pipeline itself lives in one place, the
+// batch executor (dsa/batch.h). ShortestPath, ShortestRoute and
+// IsConnected are batches of one, so a single query and a batched one
+// run the same code.
 #pragma once
 
 #include <memory>
@@ -61,9 +64,10 @@ struct EpochCarryover {
 ///
 /// Thread-safety contract: after construction, all query methods are
 /// re-entrant and safe to call concurrently from any number of threads.
-/// Every query runs its phase-1 subqueries on the one pool owned by the
-/// database (sized by DsaOptions::num_threads), and the chain-plan cache is
-/// internally synchronized. The fragmentation must stay immutable while
+/// Every query is a one-query BatchExecutor batch: its phase-1 subqueries
+/// run on the one pool owned by the database (sized by
+/// DsaOptions::num_threads), and the chain-plan cache is internally
+/// synchronized. The fragmentation must stay immutable while
 /// queries run (it always is — Fragmentation is immutable by construction).
 /// A DsaDatabase never mutates after construction; updates are modeled by
 /// building a successor database (see dsa/maintenance.h).
@@ -85,7 +89,8 @@ class DsaDatabase {
   const DsaOptions& options() const { return options_; }
 
   /// Shortest-path cost between two nodes; kInfinity when unconnected.
-  /// Fills `report` (if given) with the execution breakdown.
+  /// Adds the execution breakdown to `report` (if given). Both endpoints
+  /// must be valid node ids.
   QueryAnswer ShortestPath(NodeId from, NodeId to,
                            ExecutionReport* report = nullptr) const;
 
@@ -106,9 +111,8 @@ class DsaDatabase {
   /// cache-hit-rate reporting in benches and tests.
   const ChainPlanCache* plan_cache() const { return plan_cache_.get(); }
 
-  /// The phase-1 pool shared by all queries against this database. The
-  /// batch executor schedules its deduplicated subqueries here too, so
-  /// single and batched queries draw from one set of site workers.
+  /// The pool every query against this database plans, runs phase 1 and
+  /// assembles on, single and batched alike.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// The pool as a shareable handle, for carrying it into the successor
@@ -121,12 +125,7 @@ class DsaDatabase {
   uint64_t epoch() const { return epoch_; }
 
  private:
-  friend class BatchExecutor;
-
-  /// Plans `from` -> `to` through the plan cache, interning subqueries
-  /// into `specs` (a per-query SpecTable, or the batch executor's shared
-  /// ShardedSpecTable).
-  QueryPlan Plan(NodeId from, NodeId to, SpecSink* specs) const;
+  friend class BatchExecutor;  // plans through the mutable plan cache
 
   const Fragmentation* frag_;
   DsaOptions options_;

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsa/sites.h"
-
 namespace tcf {
 
 namespace {
@@ -93,15 +91,6 @@ uint64_t MaintainedBackend::ApplyUpdates(
   return mdb_->ApplyEpoch(updates).epoch;
 }
 
-std::vector<Result<Weight>> SiteNetworkBackend::ExecuteBatch(
-    const std::vector<Query>& queries) {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(queries.size());
-  for (const Query& q : queries) pairs.emplace_back(q.from, q.to);
-  const std::vector<Weight> costs = net_->BatchShortestPathCosts(pairs);
-  return std::vector<Result<Weight>>(costs.begin(), costs.end());
-}
-
 namespace {
 
 size_t ClampShards(size_t requested) {
@@ -117,9 +106,10 @@ size_t ClampFlushWorkers(size_t requested) {
 
 }  // namespace
 
-QueryService::QueryService(const DsaDatabase* db, ServiceOptions options)
+QueryService::QueryService(const DsaDatabase* db, ServiceOptions options,
+                           SiteNetwork* sites)
     : options_(options),
-      owned_backend_(std::make_unique<DatabaseBackend>(db)),
+      owned_backend_(std::make_unique<DatabaseBackend>(db, sites)),
       backend_(owned_backend_.get()),
       validate_num_nodes_(db->fragmentation().graph().NumNodes()),
       routes_supported_(db->options().use_complementary) {

@@ -53,11 +53,12 @@
 // stable regardless of worker scheduling.
 //
 // The backend seam (ServiceBackend) is what makes the flush workers
-// deployment-agnostic: DatabaseBackend drives the in-process DsaDatabase
-// via BatchExecutor; MaintainedBackend drives a MaintainedDatabase, pinning
-// the current epoch snapshot per micro-batch; SiteNetworkBackend drives a
-// message-passing SiteNetwork coordinator — the protocol seed for the
-// multi-process direction in ROADMAP.md.
+// deployment-agnostic: DatabaseBackend drives a static DsaDatabase via
+// BatchExecutor — with phase 1 on the database's pool, or on a
+// message-passing SiteNetwork when the service is built as
+// QueryService(&db, opts, &net); MaintainedBackend drives a
+// MaintainedDatabase, pinning the current epoch snapshot per micro-batch.
+// Both validate queries at admission against the database's node range.
 //
 // Update lane. Services over an updatable backend additionally accept
 // SubmitUpdate(EdgeUpdate): updates queue beside the query stream and a
@@ -99,10 +100,10 @@ class SiteNetwork;
 
 /// Where admitted micro-batches execute. ExecuteBatch may be called
 /// CONCURRENTLY from the service's flush workers, so implementations must
-/// be re-entrant or serialize internally (BatchExecutor is re-entrant;
-/// SiteNetwork serializes its coordinator internally). ApplyUpdates is
-/// called only from the service's single update-applier thread, one epoch
-/// at a time, but concurrently with ExecuteBatch calls.
+/// be re-entrant or serialize internally (BatchExecutor is re-entrant; a
+/// SiteNetwork serializes only its exchange round). ApplyUpdates is called
+/// only from the service's single update-applier thread, one epoch at a
+/// time, but concurrently with ExecuteBatch calls.
 class ServiceBackend {
  public:
   virtual ~ServiceBackend() = default;
@@ -126,14 +127,17 @@ class ServiceBackend {
   virtual uint64_t ApplyUpdates(const std::vector<EdgeUpdate>& updates);
 };
 
-/// In-process backend: one BatchExecutor::Execute per micro-batch, sharing
-/// the database's pool, skeleton cache, and cross-query dedup. Re-entrant:
-/// concurrent micro-batches share the executor (itself re-entrant) and the
-/// cumulative accounting is mutex-guarded.
+/// Static-database backend: one BatchExecutor::Execute per micro-batch,
+/// sharing the database's pool, skeleton cache, and cross-query dedup.
+/// Re-entrant: concurrent micro-batches share the executor (itself
+/// re-entrant) and the cumulative accounting is mutex-guarded. Rejects
+/// updates (SupportsUpdates() is false).
 class DatabaseBackend : public ServiceBackend {
  public:
-  /// `db` must outlive the backend.
-  explicit DatabaseBackend(const DsaDatabase* db) : executor_(db) {}
+  /// `db` (and `sites`, when given: phase 1 then runs on that network,
+  /// which must be built over `db`) must outlive the backend.
+  explicit DatabaseBackend(const DsaDatabase* db, SiteNetwork* sites = nullptr)
+      : executor_(db, sites) {}
 
   std::vector<Result<Weight>> ExecuteBatch(
       const std::vector<Query>& queries) override;
@@ -181,21 +185,6 @@ class MaintainedBackend : public ServiceBackend {
   mutable std::mutex stats_mutex_;
   BatchStats cumulative_;
   std::atomic<uint64_t> last_batch_epoch_{0};
-};
-
-/// Message-passing backend: micro-batches go through the SiteNetwork
-/// coordinator's batched fan-out protocol (serialized by the coordinator's
-/// own mutex, so concurrent flush workers are safe, just not parallel).
-/// `net` must outlive the backend.
-class SiteNetworkBackend : public ServiceBackend {
- public:
-  explicit SiteNetworkBackend(SiteNetwork* net) : net_(net) {}
-
-  std::vector<Result<Weight>> ExecuteBatch(
-      const std::vector<Query>& queries) override;
-
- private:
-  SiteNetwork* net_;
 };
 
 /// Micro-batching policy of the admission loop; see the header comment.
@@ -284,15 +273,18 @@ struct ServiceStats {
 /// All public methods are thread-safe.
 class QueryService {
  public:
-  /// Serve `db` through an internally owned DatabaseBackend. `db` must
-  /// outlive the service.
-  explicit QueryService(const DsaDatabase* db, ServiceOptions options = {});
+  /// Serve `db` through an internally owned DatabaseBackend, with phase 1
+  /// on `sites` when given (a SiteNetwork built over `db`). `db` and
+  /// `sites` must outlive the service.
+  explicit QueryService(const DsaDatabase* db, ServiceOptions options = {},
+                        SiteNetwork* sites = nullptr);
   /// Serve `mdb` through an internally owned MaintainedBackend: queries
   /// pin epoch snapshots and SubmitUpdate works. `mdb` must outlive the
   /// service.
   explicit QueryService(MaintainedDatabase* mdb, ServiceOptions options = {});
-  /// Serve an external backend (e.g. SiteNetworkBackend). `backend` must
-  /// outlive the service.
+  /// Serve an external backend. `backend` must outlive the service, and
+  /// queries are not validated at admission (the backend defines its own
+  /// domain).
   explicit QueryService(ServiceBackend* backend, ServiceOptions options = {});
   /// Shuts down (draining) if Shutdown() was not called explicitly.
   ~QueryService();

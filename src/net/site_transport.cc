@@ -31,7 +31,8 @@ class InProcessSiteTransport final : public SiteTransport {
   ~InProcessSiteTransport() override { Shutdown(); }
 
   void SendSubquery(FragmentId site, SiteWireSubquery message) override {
-    mailboxes_[site]->Send(std::move(message));
+    CountMessage();
+    if (!mailboxes_[site]->Send(std::move(message))) UncountMessage();
   }
 
   std::optional<SiteWireResult> ReceiveResult() override {
@@ -43,7 +44,8 @@ class InProcessSiteTransport final : public SiteTransport {
   }
 
   void SendResult(FragmentId /*site*/, SiteWireResult message) override {
-    coordinator_inbox_.Send(std::move(message));
+    CountMessage();
+    if (!coordinator_inbox_.Send(std::move(message))) UncountMessage();
   }
 
   void Shutdown() override {
@@ -59,19 +61,19 @@ class InProcessSiteTransport final : public SiteTransport {
 // ---------------------------------------------------------------------------
 // Socket fabric: one loopback TCP connection per site; every message is a
 // real kSiteSubquery / kSiteResult frame (serialize, send, receive,
-// deserialize) so the simulation exercises the actual wire codec.
+// deserialize) so the simulation exercises the actual wire codec. A site
+// whose local query failed replies with a request-scoped kError frame.
 // ---------------------------------------------------------------------------
 
 class SocketSiteTransport final : public SiteTransport {
  public:
   /// `coordinator_ends[f]` / `site_ends[f]` are the two ends of site f's
   /// connection. Spawns one coordinator-side demux thread per site that
-  /// funnels kSiteResult frames into the shared result channel.
+  /// funnels kSiteResult / kError frames into the shared result channel.
   SocketSiteTransport(std::vector<Socket> coordinator_ends,
                       std::vector<Socket> site_ends)
       : coordinator_ends_(std::move(coordinator_ends)),
-        site_ends_(std::move(site_ends)),
-        live_demuxers_(coordinator_ends_.size()) {
+        site_ends_(std::move(site_ends)) {
     demuxers_.reserve(coordinator_ends_.size());
     for (size_t f = 0; f < coordinator_ends_.size(); ++f) {
       demuxers_.emplace_back([this, f]() { DemuxLoop(f); });
@@ -85,8 +87,8 @@ class SocketSiteTransport final : public SiteTransport {
     msg.spec = std::move(message.spec);
     // A send failure means the link died; the matching result will never
     // arrive and ReceiveResult reports the shutdown via nullopt instead.
-    (void)WriteFrame(coordinator_ends_[site], MessageType::kSiteSubquery,
-                     message.request_id, EncodeSiteSubquery(msg));
+    Write(coordinator_ends_[site], MessageType::kSiteSubquery,
+          message.request_id, EncodeSiteSubquery(msg));
   }
 
   std::optional<SiteWireResult> ReceiveResult() override {
@@ -109,11 +111,19 @@ class SocketSiteTransport final : public SiteTransport {
   }
 
   void SendResult(FragmentId site, SiteWireResult message) override {
+    if (!message.status.ok()) {
+      ErrorResponseMsg error;
+      error.code = message.status.code();
+      error.message = message.status.message();
+      Write(site_ends_[site], MessageType::kError, message.request_id,
+            EncodeErrorResponse(error));
+      return;
+    }
     SiteResultMsg msg;
     msg.fragment = message.fragment;
     msg.paths = std::move(message.paths);
-    (void)WriteFrame(site_ends_[site], MessageType::kSiteResult,
-                     message.request_id, EncodeSiteResult(msg));
+    Write(site_ends_[site], MessageType::kSiteResult, message.request_id,
+          EncodeSiteResult(msg));
   }
 
   void Shutdown() override {
@@ -124,7 +134,7 @@ class SocketSiteTransport final : public SiteTransport {
       return;
     }
     // Both ends wake out of recv with an error: site loops and demuxers
-    // exit; the last demuxer closes the result channel, which is what
+    // exit; an exiting demuxer closes the result channel, which is what
     // unblocks a coordinator parked in ReceiveResult.
     for (const Socket& s : coordinator_ends_) s.ShutdownBoth();
     for (const Socket& s : site_ends_) s.ShutdownBoth();
@@ -134,30 +144,45 @@ class SocketSiteTransport final : public SiteTransport {
   }
 
  private:
+  void Write(const Socket& socket, MessageType type, uint64_t request_id,
+             const std::string& payload) {
+    CountMessage();
+    if (!WriteFrame(socket, type, request_id, payload).ok()) {
+      UncountMessage();
+    }
+  }
+
   void DemuxLoop(size_t site) {
     for (;;) {
       Result<Frame> read = ReadFrame(coordinator_ends_[site], kMaxPayloadBytes);
       if (!read.ok()) break;
       const Frame& frame = read.value();
-      if (frame.header.type != MessageType::kSiteResult) break;
-      SiteResultMsg msg;
-      if (!DecodeSiteResult(frame.payload_view(), &msg).ok()) break;
       SiteWireResult result;
       result.request_id = frame.header.request_id;
-      result.fragment = msg.fragment;
-      result.paths = std::move(msg.paths);
+      if (frame.header.type == MessageType::kError) {
+        ErrorResponseMsg error;
+        if (!DecodeErrorResponse(frame.payload_view(), &error).ok()) break;
+        result.status = error.ToStatus();
+        if (result.status.ok()) break;  // an error frame must carry one
+      } else if (frame.header.type == MessageType::kSiteResult) {
+        SiteResultMsg msg;
+        if (!DecodeSiteResult(frame.payload_view(), &msg).ok()) break;
+        result.fragment = msg.fragment;
+        result.paths = std::move(msg.paths);
+      } else {
+        break;
+      }
       results_.Send(std::move(result));
     }
-    if (live_demuxers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      results_.Close();
-    }
+    // A dead or garbled link means some result may never arrive: close the
+    // channel so the coordinator fails the round instead of waiting on it.
+    results_.Close();
   }
 
   std::vector<Socket> coordinator_ends_;
   std::vector<Socket> site_ends_;
   Channel<SiteWireResult> results_;
   std::vector<std::thread> demuxers_;
-  std::atomic<size_t> live_demuxers_;
   std::atomic<bool> shut_down_{false};
 };
 

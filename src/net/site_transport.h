@@ -12,12 +12,15 @@
 //     hop. tests/sites_test.cc asserts answer-equality between the two.
 //
 // Threading contract (what SiteNetwork provides): one coordinator thread
-// at a time drives SendSubquery/ReceiveResult (serialized by its
-// coordinator mutex); each site f has exactly one thread calling
+// at a time drives SendSubquery/ReceiveResult (serialized by the
+// network's exchange lock, which covers exactly one send-all/collect-all
+// round); each site f has exactly one thread calling
 // ReceiveSubquery(f)/SendResult(f). Shutdown() may race with blocked
 // receivers on either side and unblocks them all with nullopt.
+// messages_carried() may be read from any thread at any time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,11 +36,13 @@ struct SiteWireSubquery {
   LocalQuerySpec spec;
 };
 
-/// Site -> coordinator: the phase-1 result relation for one subquery.
+/// Site -> coordinator: the phase-1 result relation for one subquery, or
+/// the Status of a local query that failed (then `paths` is empty).
 struct SiteWireResult {
   uint64_t request_id = 0;
   FragmentId fragment = 0;
   Relation paths;
+  Status status = Status::OK();
 };
 
 class SiteTransport {
@@ -59,6 +64,20 @@ class SiteTransport {
   /// only run when no protocol round is in flight (the SiteNetwork
   /// destructor, which holds that guarantee by construction).
   virtual void Shutdown() = 0;
+
+  /// Messages this fabric has carried in either direction: channel sends
+  /// in process, frames written over sockets. Each is counted before it
+  /// is handed over, so once a receiver holds a message it is counted.
+  size_t messages_carried() const { return carried_.load(); }
+
+ protected:
+  /// Fabrics count a message just before sending it and take the count
+  /// back when the send fails.
+  void CountMessage() { ++carried_; }
+  void UncountMessage() { --carried_; }
+
+ private:
+  std::atomic<size_t> carried_{0};
 };
 
 std::unique_ptr<SiteTransport> MakeInProcessSiteTransport(size_t num_sites);

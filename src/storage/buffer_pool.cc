@@ -16,12 +16,6 @@ BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& other) noexcept {
   return *this;
 }
 
-uint8_t* BufferPool::PageRef::MutableData() {
-  TCF_CHECK(pool_ != nullptr);
-  pool_->MarkDirty(frame_);
-  return data_;
-}
-
 void BufferPool::PageRef::Release() {
   if (pool_ != nullptr) {
     pool_->Unpin(frame_);
@@ -61,7 +55,7 @@ Result<BufferPool::PageRef> BufferPool::Pin(uint64_t page_index) {
     return victim.status();
   }
   const size_t frame_idx = victim.value();
-  TCF_RETURN_NOT_OK(EvictLocked(frame_idx));
+  EvictLocked(frame_idx);
 
   // The frame is free; fault the page in. On read or verification failure
   // the frame stays unoccupied and the pool is unchanged.
@@ -78,7 +72,6 @@ Result<BufferPool::PageRef> BufferPool::Pin(uint64_t page_index) {
   frame.page_index = page_index;
   frame.pin_count = 1;
   frame.occupied = true;
-  frame.dirty = false;
   frame.referenced = true;
   NotePinnedLocked();
   page_to_frame_[page_index] = frame_idx;
@@ -107,34 +100,14 @@ Result<size_t> BufferPool::FindVictimLocked() {
       " pinned); release a PageRef or open with more frames");
 }
 
-Status BufferPool::EvictLocked(size_t frame_idx) {
+void BufferPool::EvictLocked(size_t frame_idx) {
   Frame& frame = frames_[frame_idx];
-  if (!frame.occupied) return Status::OK();
+  if (!frame.occupied) return;
   TCF_CHECK(frame.pin_count == 0);
-  if (frame.dirty) {
-    TCF_RETURN_NOT_OK(store_->WritePage(frame.page_index,
-                                        FrameData(frame_idx)));
-    ++stats_.writebacks;
-  }
   page_to_frame_.erase(frame.page_index);
   frame.occupied = false;
-  frame.dirty = false;
   frame.referenced = false;
   ++stats_.evictions;
-  return Status::OK();
-}
-
-Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    Frame& frame = frames_[i];
-    if (frame.occupied && frame.dirty) {
-      TCF_RETURN_NOT_OK(store_->WritePage(frame.page_index, FrameData(i)));
-      frame.dirty = false;
-      ++stats_.writebacks;
-    }
-  }
-  return store_->Sync();
 }
 
 BufferPoolStats BufferPool::stats() const {
@@ -151,11 +124,6 @@ void BufferPool::Unpin(size_t frame_idx) {
     TCF_CHECK(stats_.pinned_frames > 0);
     --stats_.pinned_frames;
   }
-}
-
-void BufferPool::MarkDirty(size_t frame_idx) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  frames_[frame_idx].dirty = true;
 }
 
 }  // namespace tcf

@@ -1,10 +1,10 @@
-// A small page cache between readers and a PageStore: a fixed set of
-// page-sized frames, pin/unpin reference counting, clock (second-chance)
-// eviction that never touches a pinned frame, and dirty-page writeback on
-// eviction or FlushAll. This is the seam ROADMAP item 4 asks for — the
-// structure that will let fragment relations spill to disk once queries
-// read through it; today OpenDatabase uses it as the non-mmap read path and
-// tests hammer it directly (tests/buffer_pool_test.cc).
+// A small read-only page cache between readers and a PageStore: a fixed
+// set of page-sized frames, pin/unpin reference counting, and clock
+// (second-chance) eviction that never touches a pinned frame. Database
+// files are immutable once saved, so pooled pages are never written back:
+// eviction only drops a frame. OpenDatabase reads through it on the
+// non-mmap path, and paged relations (storage/paged_tuple_store.h) scan
+// their fragment extents through pinned frames.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +23,6 @@ namespace tcf {
 
 /// Counters for observability and tests. A hit is a Pin() that found the
 /// page resident; an eviction is a frame reassigned to a new page; a
-/// writeback is a dirty frame written to the store (eviction or flush); a
 /// pin failure is a Pin() rejected because every frame was pinned.
 /// `pinned_frames` / `peak_pinned_frames` count frames with at least one
 /// outstanding pin (now / high-water) — the "peak pinned pages" series the
@@ -32,7 +31,6 @@ struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t writebacks = 0;
   uint64_t pin_failures = 0;
   uint64_t pinned_frames = 0;
   uint64_t peak_pinned_frames = 0;
@@ -77,9 +75,6 @@ class BufferPool {
 
     /// Read-only view of the page bytes.
     const uint8_t* data() const { return data_; }
-    /// Writable view; marks the frame dirty (written back on eviction or
-    /// FlushAll).
-    uint8_t* MutableData();
 
     uint64_t page_index() const { return page_index_; }
     bool valid() const { return pool_ != nullptr; }
@@ -87,14 +82,14 @@ class BufferPool {
    private:
     friend class BufferPool;
     PageRef(BufferPool* pool, size_t frame, uint64_t page_index,
-            uint8_t* data)
+            const uint8_t* data)
         : pool_(pool), frame_(frame), page_index_(page_index), data_(data) {}
     void Release();
 
     BufferPool* pool_ = nullptr;
     size_t frame_ = 0;
     uint64_t page_index_ = 0;
-    uint8_t* data_ = nullptr;
+    const uint8_t* data_ = nullptr;
   };
 
   /// Pin page `page_index`, faulting it in from the store on a miss.
@@ -105,9 +100,6 @@ class BufferPool {
   /// page does not verify (the pool is unchanged in every failure case).
   Result<PageRef> Pin(uint64_t page_index);
 
-  /// Write every dirty frame back to the store and Sync() it.
-  Status FlushAll();
-
   size_t num_frames() const { return frames_.size(); }
   size_t page_size() const { return page_size_; }
   BufferPoolStats stats() const;
@@ -117,22 +109,20 @@ class BufferPool {
     uint64_t page_index = 0;
     uint32_t pin_count = 0;
     bool occupied = false;
-    bool dirty = false;
     bool referenced = false;  // clock second-chance bit
   };
 
   // All require `mutex_` held.
   Result<size_t> FindVictimLocked();
-  Status EvictLocked(size_t frame);
+  void EvictLocked(size_t frame);
   void NotePinnedLocked() {
     ++stats_.pinned_frames;
     stats_.peak_pinned_frames =
         std::max(stats_.peak_pinned_frames, stats_.pinned_frames);
   }
 
-  // Called by PageRef; take the mutex themselves.
+  // Called by PageRef; takes the mutex itself.
   void Unpin(size_t frame);
-  void MarkDirty(size_t frame);
 
   uint8_t* FrameData(size_t frame) {
     return storage_.data() + frame * page_size_;

@@ -43,6 +43,7 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
+  if (n == 1) return fn(0);  // two queue hand-offs would buy no parallelism
   std::vector<std::future<void>> futures;
   futures.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -54,6 +55,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 void ThreadPool::ParallelForRanges(
     size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
+  if (n == 1) return fn(0, 1);
   // ~4 ranges per worker: enough slack to absorb uneven range costs
   // without reintroducing per-item queue traffic.
   const size_t max_tasks = workers_.size() * 4;

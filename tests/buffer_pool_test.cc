@@ -1,7 +1,7 @@
 // Unit tests for the storage primitives under the database format: CRC32C
 // known-answer vectors, page seal/check round trips and tamper detection,
 // MemPageStore/FilePageStore/MmapFile behavior, and the BufferPool's
-// pin/unpin, clock-eviction, dirty-writeback and pool-exhaustion contracts
+// pin/unpin, clock-eviction and pool-exhaustion contracts
 // (including a concurrent pin hammer for the TSan leg).
 #include "storage/buffer_pool.h"
 
@@ -267,7 +267,6 @@ TEST_F(BufferPoolTest, EvictionCyclesThroughFrames) {
   const BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.misses, 8u);
   EXPECT_GE(stats.evictions, 6u);  // at least 8 pages through 2 frames
-  EXPECT_EQ(stats.writebacks, 0u);  // nothing was dirtied
 }
 
 TEST_F(BufferPoolTest, PinnedPagesAreNeverEvicted) {
@@ -340,49 +339,6 @@ TEST_F(BufferPoolTest, PinnedFrameCountersTrackLiveAndPeak) {
   EXPECT_EQ(pool.stats().pinned_frames, 0u);
   EXPECT_EQ(pool.stats().peak_pinned_frames, 3u);
   EXPECT_EQ(pool.stats().HitRate(), 1.0 / 4.0);  // 1 hit, 3 misses
-}
-
-TEST_F(BufferPoolTest, DirtyPagesWriteBackOnEviction) {
-  FillStore(4);
-  BufferPool pool(&store_, 2);
-  {
-    auto ref = pool.Pin(0);
-    ASSERT_TRUE(ref.ok());
-    uint8_t* bytes = ref.value().MutableData();
-    bytes[kPageHeaderSize] = 0xEE;
-    SealPage({bytes, kPageSize}, PageType::kData, 0,
-             static_cast<uint32_t>(PagePayloadCapacity(kPageSize)));
-  }
-  // Force page 0 out by streaming the others.
-  for (uint64_t i = 1; i < 4; ++i) {
-    ASSERT_TRUE(pool.Pin(i).ok());
-  }
-  EXPECT_GE(pool.stats().writebacks, 1u);
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_TRUE(store_.ReadPage(0, out.data()).ok());
-  EXPECT_EQ(out[kPageHeaderSize], 0xEE);
-  EXPECT_TRUE(CheckPage(out, 0).ok());
-}
-
-TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyFrame) {
-  FillStore(2);
-  BufferPool pool(&store_, 2);
-  auto a = pool.Pin(0);
-  auto b = pool.Pin(1);
-  ASSERT_TRUE(a.ok() && b.ok());
-  a.value().MutableData()[kPageHeaderSize] = 0xA1;
-  b.value().MutableData()[kPageHeaderSize] = 0xB2;
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.stats().writebacks, 2u);
-
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_TRUE(store_.ReadPage(0, out.data()).ok());
-  EXPECT_EQ(out[kPageHeaderSize], 0xA1);
-  ASSERT_TRUE(store_.ReadPage(1, out.data()).ok());
-  EXPECT_EQ(out[kPageHeaderSize], 0xB2);
-  // A second flush has nothing left to write.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.stats().writebacks, 2u);
 }
 
 TEST_F(BufferPoolTest, MissOnBadPageLeavesPoolUsable) {

@@ -2,11 +2,14 @@
 // — DsaDatabase answers equal the whole-graph Dijkstra oracle — checked
 // over every fragmenter and local engine. dsa_test.cc runs a small fast
 // sweep on every ctest invocation; dsa_heavy_test.cc runs the full
-// parameter grid on larger graphs.
+// parameter grid on larger graphs. Also the storage fault the paged-query
+// tests inject (CorruptPagesAfterHeader).
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <unordered_map>
 
 #include "dsa/query_api.h"
@@ -113,6 +116,29 @@ inline void ExpectMatchesOracle(const Graph& g, const Fragmentation& frag,
       EXPECT_NEAR(answer.cost, expected, 1e-9) << s << "->" << u;
     }
   }
+}
+
+/// Flips the first byte (header magic) of every page of the database file
+/// at `path` except the header page, so any page read after this fails
+/// verification while everything decoded at open stays valid. Returns
+/// false when the file cannot be rewritten.
+inline bool CorruptPagesAfterHeader(const std::string& path,
+                                    uint64_t page_size) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  if (!file.good()) return false;
+  file.seekg(0, std::ios::end);
+  const auto file_size = static_cast<uint64_t>(file.tellg());
+  for (uint64_t off = page_size; off + page_size <= file_size;
+       off += page_size) {
+    file.seekg(static_cast<std::streamoff>(off));
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0xFF);
+    file.seekp(static_cast<std::streamoff>(off));
+    file.write(&byte, 1);
+  }
+  file.flush();
+  return file.good();
 }
 
 }  // namespace dsa_sweep

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -425,28 +424,10 @@ TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ComplementaryInfo& comp = opened.value().db->complementary();
 
-  // Corrupt the first byte (header magic) of every page but the header
-  // page AFTER a clean open: the graph and fragmentation decoded at open
-  // stay valid, but any page a paged relation now faults back in fails
-  // verification.
-  {
-    std::fstream file(path_,
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good());
-    file.seekg(0, std::ios::end);
-    const auto file_size = static_cast<uint64_t>(file.tellg());
-    for (uint64_t off = kMinPageSize; off + kMinPageSize <= file_size;
-         off += kMinPageSize) {
-      file.seekg(static_cast<std::streamoff>(off));
-      char byte = 0;
-      file.read(&byte, 1);
-      byte = static_cast<char>(byte ^ 0xFF);
-      file.seekp(static_cast<std::streamoff>(off));
-      file.write(&byte, 1);
-    }
-    file.flush();
-    ASSERT_TRUE(file.good());
-  }
+  // Corrupt every page but the header page AFTER a clean open: the graph
+  // and fragmentation decoded at open stay valid, but any page a paged
+  // relation now faults back in fails verification.
+  ASSERT_TRUE(dsa_sweep::CorruptPagesAfterHeader(path_, kMinPageSize));
 
   // A relation spanning more pages than the two-frame pool cannot be
   // served from residual frames, so its scan MUST surface the corruption

@@ -5,8 +5,8 @@
 // on backpressure), the sharded admission path and the parallel flush pool
 // keep ServiceStats totals scheduling-independent across shard and worker
 // counts (with elapsed_seconds frozen by the last worker to drain), and
-// the backend seam serves both the in-process database and the
-// message-passing SiteNetwork.
+// the database path runs phase 1 on its pool or on a message-passing
+// SiteNetwork.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "dsa/service.h"
@@ -539,14 +540,13 @@ TEST(QueryService, LatencySampleCapBoundsStoredSamples) {
   EXPECT_GT(stats.LatencyPercentileMs(99), 0.0);
 }
 
-TEST(QueryService, SiteNetworkBackendMatchesOracle) {
+TEST(QueryService, SiteBackedServiceMatchesOracle) {
   Fixture fx(307);
-  SiteNetwork net(fx.frag.get());
-  SiteNetworkBackend backend(&net);
+  SiteNetwork net(fx.db.get());
   ServiceOptions opts;
   opts.max_batch = 32;
   opts.max_wait = std::chrono::microseconds(500);
-  QueryService service(&backend, opts);
+  QueryService service(fx.db.get(), opts, &net);
 
   const std::vector<Query> queries = fx.Workload(80, 11);
   std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
@@ -555,6 +555,22 @@ TEST(QueryService, SiteNetworkBackendMatchesOracle) {
   }
   service.Shutdown();
   EXPECT_EQ(service.Stats().completed, queries.size());
+}
+
+TEST(QueryService, SiteBackedServiceRejectsBadEndpoint) {
+  // A site-backed service validates at admission like the database path:
+  // an out-of-range endpoint fails its own future instead of reaching the
+  // executor's endpoint check on a flush worker, and the service keeps
+  // answering.
+  Fixture fx(309);
+  SiteNetwork net(fx.db.get());
+  QueryService service(fx.db.get(), ServiceOptions{}, &net);
+  const NodeId missing = static_cast<NodeId>(fx.graph.NumNodes() + 90);
+  std::future<Weight> bad = service.SubmitShortestPath(0, missing);
+  EXPECT_THROW(bad.get(), std::out_of_range);
+  ExpectOracle(fx, 0, 5, service.SubmitShortestPath(0, 5).get());
+  service.Shutdown();
+  EXPECT_EQ(service.Stats().completed, 1u);
 }
 
 TEST(QueryService, OpenLoopArrivalsUniformAndBursty) {

@@ -1,19 +1,27 @@
 // Tests for the message-passing site simulation: protocol correctness
-// (answers equal the oracle), the phase-1 no-communication property, and
-// the Channel primitive it is built on.
+// (answers of a BatchExecutor whose phase 1 runs on the network equal the
+// oracle), the phase-1 no-communication property (the fabric carries
+// exactly the subquery and result messages), site failures surfacing as
+// per-query Status on both fabrics, and the Channel primitive the network
+// is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 
+#include "dsa/batch.h"
 #include "dsa/sites.h"
+#include "dsa_sweep.h"
 #include "fragment/bond_energy.h"
 #include "fragment/linear.h"
 #include "graph/algorithms.h"
 #include "graph/builder.h"
 #include "graph/generator.h"
+#include "storage/database_io.h"
 #include "util/channel.h"
 
 namespace tcf {
@@ -84,13 +92,62 @@ TransportationGraph MakeTransport(uint64_t seed) {
   return GenerateTransportationGraph(opts, &rng);
 }
 
+/// A database, a site network over it, and the executor that runs phase 1
+/// on that network — the coordinator/site deployment under test.
+struct Sites {
+  explicit Sites(const Fragmentation* frag,
+                 SiteTransportKind kind = SiteTransportKind::kInProcess)
+      : db(frag), net(&db, kind), executor(&db, &net) {}
+
+  /// Answers `queries` in order; `traffic`, if given, receives the
+  /// messages this call caused (callers measure from one thread).
+  std::vector<Weight> Costs(
+      const std::vector<std::pair<NodeId, NodeId>>& queries,
+      SiteTraffic* traffic = nullptr) {
+    const SiteTraffic before =
+        traffic != nullptr ? net.traffic() : SiteTraffic{};
+    std::vector<Query> batch;
+    for (const auto& [from, to] : queries) batch.push_back({from, to});
+    std::vector<Weight> costs;
+    for (const RouteAnswer& a : executor.Execute(batch).answers) {
+      costs.push_back(a.answer.cost);
+    }
+    if (traffic != nullptr) {
+      const SiteTraffic after = net.traffic();
+      traffic->subquery_messages =
+          after.subquery_messages - before.subquery_messages;
+      traffic->result_messages =
+          after.result_messages - before.result_messages;
+      traffic->result_tuples = after.result_tuples - before.result_tuples;
+      traffic->fabric_messages =
+          after.fabric_messages - before.fabric_messages;
+    }
+    return costs;
+  }
+
+  Weight Cost(NodeId from, NodeId to, SiteTraffic* traffic = nullptr) {
+    return Costs({{from, to}}, traffic).front();
+  }
+
+  DsaDatabase db;
+  SiteNetwork net;
+  BatchExecutor executor;
+};
+
+/// Sites talk only to the coordinator: every message the fabric carried
+/// is one of the protocol's subqueries or results.
+void ExpectNoInterSiteMessages(const SiteTraffic& traffic) {
+  EXPECT_EQ(traffic.fabric_messages,
+            traffic.subquery_messages + traffic.result_messages);
+}
+
 TEST(SiteNetwork, SpawnsOneSitePerFragment) {
   auto t = MakeTransport(1);
   LinearOptions lopts;
   lopts.num_fragments = 4;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag);
-  EXPECT_EQ(net.NumSites(), frag.NumFragments());
+  Sites sites(&frag);
+  EXPECT_EQ(sites.net.NumSites(), frag.NumFragments());
 }
 
 TEST(SiteNetwork, AnswersMatchOracle) {
@@ -98,13 +155,13 @@ TEST(SiteNetwork, AnswersMatchOracle) {
   BondEnergyOptions bopts;
   bopts.num_fragments = 4;
   Fragmentation frag = BondEnergyFragmentation(t.graph, bopts);
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
   Rng rng(9);
   for (int i = 0; i < 12; ++i) {
     const NodeId s = static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()));
     const NodeId u = static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()));
     const Weight oracle = s == u ? 0.0 : Dijkstra(t.graph, s).distance[u];
-    const Weight got = net.ShortestPathCost(s, u);
+    const Weight got = sites.Cost(s, u);
     if (oracle == kInfinity) {
       EXPECT_EQ(got, kInfinity);
     } else {
@@ -118,11 +175,10 @@ TEST(SiteNetwork, Phase1HasNoInterSiteCommunication) {
   LinearOptions lopts;
   lopts.num_fragments = 4;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
   SiteTraffic traffic;
-  net.ShortestPathCost(0, static_cast<NodeId>(t.graph.NumNodes() - 1),
-                       &traffic);
-  EXPECT_EQ(traffic.inter_site_messages, 0u);  // the paper's property
+  sites.Cost(0, static_cast<NodeId>(t.graph.NumNodes() - 1), &traffic);
+  ExpectNoInterSiteMessages(traffic);  // the paper's property
   EXPECT_GT(traffic.subquery_messages, 0u);
   EXPECT_EQ(traffic.result_messages, traffic.subquery_messages);
 }
@@ -134,10 +190,9 @@ TEST(SiteNetwork, TrafficIsSmall) {
   BondEnergyOptions bopts;
   bopts.num_fragments = 4;
   Fragmentation frag = BondEnergyFragmentation(t.graph, bopts);
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
   SiteTraffic traffic;
-  net.ShortestPathCost(0, static_cast<NodeId>(t.graph.NumNodes() - 1),
-                       &traffic);
+  sites.Cost(0, static_cast<NodeId>(t.graph.NumNodes() - 1), &traffic);
   EXPECT_LT(traffic.result_tuples, t.graph.NumEdges() / 4);
 }
 
@@ -146,7 +201,7 @@ TEST(SiteNetwork, IntraFragmentQueryUsesOneSite) {
   LinearOptions lopts;
   lopts.num_fragments = 4;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
   // Two interior nodes of fragment 0.
   NodeId a = kInvalidNode, b = kInvalidNode;
   for (NodeId v : frag.FragmentNodes(0)) {
@@ -160,7 +215,7 @@ TEST(SiteNetwork, IntraFragmentQueryUsesOneSite) {
   }
   ASSERT_NE(b, kInvalidNode);
   SiteTraffic traffic;
-  net.ShortestPathCost(a, b, &traffic);
+  sites.Cost(a, b, &traffic);
   EXPECT_EQ(traffic.subquery_messages, 1u);
 }
 
@@ -172,7 +227,7 @@ TEST(SiteNetwork, BatchedFanOutHasNoInterSiteCommunication) {
   BondEnergyOptions bopts;
   bopts.num_fragments = 4;
   Fragmentation frag = BondEnergyFragmentation(t.graph, bopts);
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
 
   Rng rng(11);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -185,9 +240,9 @@ TEST(SiteNetwork, BatchedFanOutHasNoInterSiteCommunication) {
   queries.push_back(queries.front());          // exact repeat: pure sharing
 
   SiteTraffic traffic;
-  const std::vector<Weight> got = net.BatchShortestPathCosts(queries, &traffic);
+  const std::vector<Weight> got = sites.Costs(queries, &traffic);
   ASSERT_EQ(got.size(), queries.size());
-  EXPECT_EQ(traffic.inter_site_messages, 0u);  // the paper's property
+  ExpectNoInterSiteMessages(traffic);  // the paper's property
   EXPECT_GT(traffic.subquery_messages, 0u);
   EXPECT_EQ(traffic.result_messages, traffic.subquery_messages);
 
@@ -198,8 +253,9 @@ TEST(SiteNetwork, BatchedFanOutHasNoInterSiteCommunication) {
   for (size_t i = 0; i < queries.size(); ++i) {
     SiteTraffic single;
     const Weight want =
-        net.ShortestPathCost(queries[i].first, queries[i].second, &single);
-    EXPECT_EQ(single.inter_site_messages, 0u) << "query " << i;
+        sites.Cost(queries[i].first, queries[i].second, &single);
+    SCOPED_TRACE(i);
+    ExpectNoInterSiteMessages(single);
     single_messages += single.subquery_messages;
     if (want == kInfinity) {
       EXPECT_EQ(got[i], kInfinity) << "query " << i;
@@ -215,7 +271,7 @@ TEST(SiteNetwork, BatchAnswersMatchOracle) {
   LinearOptions lopts;
   lopts.num_fragments = 4;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
 
   Rng rng(13);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -225,8 +281,8 @@ TEST(SiteNetwork, BatchAnswersMatchOracle) {
         static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes())));
   }
   SiteTraffic traffic;
-  const std::vector<Weight> got = net.BatchShortestPathCosts(queries, &traffic);
-  EXPECT_EQ(traffic.inter_site_messages, 0u);
+  const std::vector<Weight> got = sites.Costs(queries, &traffic);
+  ExpectNoInterSiteMessages(traffic);
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto [s, u] = queries[i];
     const Weight oracle = s == u ? 0.0 : Dijkstra(t.graph, s).distance[u];
@@ -243,12 +299,12 @@ TEST(SiteNetwork, EmptyBatchIsANoop) {
   LinearOptions lopts;
   lopts.num_fragments = 2;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
   SiteTraffic traffic;
-  EXPECT_TRUE(net.BatchShortestPathCosts({}, &traffic).empty());
+  EXPECT_TRUE(sites.Costs({}, &traffic).empty());
   EXPECT_EQ(traffic.subquery_messages, 0u);
   EXPECT_EQ(traffic.result_messages, 0u);
-  EXPECT_EQ(traffic.inter_site_messages, 0u);
+  EXPECT_EQ(traffic.fabric_messages, 0u);
 }
 
 TEST(SiteNetwork, SelfAndDisconnected) {
@@ -257,21 +313,21 @@ TEST(SiteNetwork, SelfAndDisconnected) {
   gb.AddSymmetricEdge(2, 3);
   Graph g = gb.Build();
   Fragmentation frag(&g, {0, 0, 1, 1}, 2);
-  SiteNetwork net(&frag);
-  EXPECT_DOUBLE_EQ(net.ShortestPathCost(1, 1), 0.0);
-  EXPECT_EQ(net.ShortestPathCost(0, 3), kInfinity);
+  Sites sites(&frag);
+  EXPECT_DOUBLE_EQ(sites.Cost(1, 1), 0.0);
+  EXPECT_EQ(sites.Cost(0, 3), kInfinity);
 }
 
 TEST(SiteNetwork, ConcurrentQueriesFromManyThreads) {
-  // The coordinator is mutex-guarded: queries and batches may now be
-  // issued from any number of threads (the admission service's backend
-  // seam depends on this), and every answer must still match the oracle —
-  // no crossed request ids, no inbox mixups.
+  // The exchange is mutex-guarded: queries and batches may be issued from
+  // any number of threads (the admission service's flush workers depend on
+  // this), and every answer must still match the oracle — no crossed
+  // request ids, no inbox mixups.
   auto t = MakeTransport(10);
   BondEnergyOptions bopts;
   bopts.num_fragments = 4;
   Fragmentation frag = BondEnergyFragmentation(t.graph, bopts);
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
 
   // Sequentially precomputed expected answers.
   Rng rng(17);
@@ -293,7 +349,7 @@ TEST(SiteNetwork, ConcurrentQueriesFromManyThreads) {
         for (size_t i = 0; i < queries.size(); ++i) {
           const size_t j = (i + th * 5) % queries.size();
           const Weight got =
-              net.ShortestPathCost(queries[j].first, queries[j].second);
+              sites.Cost(queries[j].first, queries[j].second);
           if (!(got == expected[j] ||
                 std::abs(got - expected[j]) < 1e-9)) {
             ++mismatches;
@@ -301,7 +357,7 @@ TEST(SiteNetwork, ConcurrentQueriesFromManyThreads) {
         }
       } else {
         // Whole-batch threads racing the single-query threads.
-        const std::vector<Weight> got = net.BatchShortestPathCosts(queries);
+        const std::vector<Weight> got = sites.Costs(queries);
         for (size_t j = 0; j < queries.size(); ++j) {
           if (!(got[j] == expected[j] ||
                 std::abs(got[j] - expected[j]) < 1e-9)) {
@@ -327,17 +383,15 @@ TEST(SiteNetworkSocket, AnswersMatchInProcessTransport) {
   LinearOptions lopts;
   lopts.num_fragments = 4;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork in_process(&frag, LocalEngine::kDijkstra,
-                         SiteTransportKind::kInProcess);
-  SiteNetwork socket_net(&frag, LocalEngine::kDijkstra,
-                         SiteTransportKind::kSocket);
+  Sites in_process(&frag, SiteTransportKind::kInProcess);
+  Sites socket_net(&frag, SiteTransportKind::kSocket);
 
   Rng rng(23);
   for (int i = 0; i < 16; ++i) {
     const NodeId s = static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()));
     const NodeId u = static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()));
-    const Weight want = in_process.ShortestPathCost(s, u);
-    const Weight got = socket_net.ShortestPathCost(s, u);
+    const Weight want = in_process.Cost(s, u);
+    const Weight got = socket_net.Cost(s, u);
     if (want == kInfinity) {
       EXPECT_EQ(got, kInfinity) << s << "->" << u;
     } else {
@@ -357,10 +411,8 @@ TEST(SiteNetworkSocket, BatchMatchesInProcessTransport) {
   BondEnergyOptions bopts;
   bopts.num_fragments = 4;
   Fragmentation frag = BondEnergyFragmentation(t.graph, bopts);
-  SiteNetwork in_process(&frag, LocalEngine::kDijkstra,
-                         SiteTransportKind::kInProcess);
-  SiteNetwork socket_net(&frag, LocalEngine::kDijkstra,
-                         SiteTransportKind::kSocket);
+  Sites in_process(&frag, SiteTransportKind::kInProcess);
+  Sites socket_net(&frag, SiteTransportKind::kSocket);
 
   Rng rng(29);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -374,9 +426,9 @@ TEST(SiteNetworkSocket, BatchMatchesInProcessTransport) {
 
   SiteTraffic in_process_traffic, socket_traffic;
   const std::vector<Weight> want =
-      in_process.BatchShortestPathCosts(queries, &in_process_traffic);
+      in_process.Costs(queries, &in_process_traffic);
   const std::vector<Weight> got =
-      socket_net.BatchShortestPathCosts(queries, &socket_traffic);
+      socket_net.Costs(queries, &socket_traffic);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     if (want[i] == kInfinity) {
@@ -390,7 +442,8 @@ TEST(SiteNetworkSocket, BatchMatchesInProcessTransport) {
             in_process_traffic.subquery_messages);
   EXPECT_EQ(socket_traffic.result_messages,
             in_process_traffic.result_messages);
-  EXPECT_EQ(socket_traffic.inter_site_messages, 0u);
+  ExpectNoInterSiteMessages(in_process_traffic);
+  ExpectNoInterSiteMessages(socket_traffic);
 }
 
 TEST(SiteNetworkSocket, ConcurrentQueriesMatchOracle) {
@@ -398,7 +451,7 @@ TEST(SiteNetworkSocket, ConcurrentQueriesMatchOracle) {
   LinearOptions lopts;
   lopts.num_fragments = 3;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag, LocalEngine::kDijkstra, SiteTransportKind::kSocket);
+  Sites sites(&frag, SiteTransportKind::kSocket);
 
   Rng rng(31);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -418,13 +471,13 @@ TEST(SiteNetworkSocket, ConcurrentQueriesMatchOracle) {
         for (size_t i = 0; i < queries.size(); ++i) {
           const size_t j = (i + th * 3) % queries.size();
           const Weight got =
-              net.ShortestPathCost(queries[j].first, queries[j].second);
+              sites.Cost(queries[j].first, queries[j].second);
           if (!(got == expected[j] || std::abs(got - expected[j]) < 1e-9)) {
             ++mismatches;
           }
         }
       } else {
-        const std::vector<Weight> got = net.BatchShortestPathCosts(queries);
+        const std::vector<Weight> got = sites.Costs(queries);
         for (size_t j = 0; j < queries.size(); ++j) {
           if (!(got[j] == expected[j] ||
                 std::abs(got[j] - expected[j]) < 1e-9)) {
@@ -443,19 +496,81 @@ TEST(SiteNetwork, ManySequentialQueries) {
   LinearOptions lopts;
   lopts.num_fragments = 3;
   Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
-  SiteNetwork net(&frag);
+  Sites sites(&frag);
   Rng rng(3);
   for (int i = 0; i < 40; ++i) {
     const NodeId s = static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()));
     const NodeId u = static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()));
     const Weight oracle = s == u ? 0.0 : Dijkstra(t.graph, s).distance[u];
-    const Weight got = net.ShortestPathCost(s, u);
+    const Weight got = sites.Cost(s, u);
     if (oracle == kInfinity) {
       EXPECT_EQ(got, kInfinity);
     } else {
       EXPECT_NEAR(got, oracle, 1e-9);
     }
   }
+}
+
+// ----------------------------------------------------------- site failures
+
+// A site whose local query cannot read its storage answers with that
+// Status instead of a partial relation, on both fabrics: every query that
+// needs it fails with a non-OK status and no cost, every other query still
+// matches the oracle, and the process survives.
+TEST(SiteNetworkFailure, CorruptPagedStorageFailsQueriesNotProcess) {
+  const std::string path = ::testing::TempDir() + "sites_test_corrupt.tcfdb";
+  const auto t = dsa_sweep::MakeTransport(23, 4, 12);
+  const Fragmentation frag = dsa_sweep::MakeFragmentation(
+      t.graph, dsa_sweep::Fragmenter::kCenter, 5);
+  {
+    const DsaDatabase fresh(&frag);
+    SaveOptions save;
+    save.page_size = kMinPageSize;
+    ASSERT_TRUE(SaveDatabase(fresh, path, save).ok());
+  }
+  OpenOptions paged;
+  paged.mode = OpenMode::kPaged;
+  paged.buffer_pool_frames = 2;
+  Result<StoredDatabase> opened = OpenDatabase(path, paged);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_TRUE(dsa_sweep::CorruptPagesAfterHeader(path, kMinPageSize));
+  const DsaDatabase* db = opened.value().db.get();
+
+  for (SiteTransportKind kind :
+       {SiteTransportKind::kInProcess, SiteTransportKind::kSocket}) {
+    SiteNetwork net(db, kind);
+    const BatchExecutor executor(db, &net);
+    Rng rng(9);
+    std::vector<Query> batch;
+    for (int i = 0; i < 24; ++i) {
+      batch.push_back(
+          {static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes())),
+           static_cast<NodeId>(rng.NextBounded(t.graph.NumNodes()))});
+    }
+    const BatchResult result = executor.Execute(batch);
+    size_t failed = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const NodeId s = batch[i].from;
+      const NodeId u = batch[i].to;
+      const QueryAnswer& answer = result.answers[i].answer;
+      if (!answer.status.ok()) {
+        ++failed;
+        EXPECT_FALSE(answer.connected) << s << "->" << u;
+        EXPECT_EQ(answer.cost, kInfinity) << s << "->" << u;
+        continue;
+      }
+      const Weight oracle = s == u ? 0.0 : Dijkstra(t.graph, s).distance[u];
+      if (oracle == kInfinity) {
+        EXPECT_EQ(answer.cost, kInfinity) << s << "->" << u;
+      } else {
+        EXPECT_NEAR(answer.cost, oracle, 1e-9) << s << "->" << u;
+      }
+    }
+    EXPECT_GT(failed, 0u) << "no query surfaced the corrupted storage";
+    // The network still serves after failed rounds.
+    EXPECT_DOUBLE_EQ(executor.Execute({{3, 3}}).answers[0].answer.cost, 0.0);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
